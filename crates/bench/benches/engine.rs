@@ -6,12 +6,13 @@
 //! exactly as the synthetic game's `eval_work` grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gt_core::engine::{CascadeEngine, RoundEngine, YbwEngine};
+use gt_core::engine::{host_workers, CascadeEngine, RoundEngine, YbwEngine};
 use gt_games::{Connect4, GameTreeSource, SyntheticGame};
 use gt_tree::minimax::seq_alphabeta;
 use std::hint::black_box;
 
 fn bench_leaf_cost_sweep(c: &mut Criterion) {
+    let k = host_workers();
     let mut g = c.benchmark_group("engine_leaf_cost");
     g.sample_size(10);
     for work in [0u32, 512, 4096] {
@@ -21,15 +22,15 @@ fn bench_leaf_cost_sweep(c: &mut Criterion) {
             b.iter(|| black_box(seq_alphabeta(&src, false).value))
         });
         g.bench_with_input(BenchmarkId::new("round_w2", work), &work, |b, _| {
-            let e = RoundEngine::with_width(2);
+            let e = RoundEngine::with_width(2).with_workers(k);
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
         g.bench_with_input(BenchmarkId::new("cascade_w2", work), &work, |b, _| {
-            let e = CascadeEngine::with_width(2);
+            let e = CascadeEngine::with_width(2).with_workers(k);
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
         g.bench_with_input(BenchmarkId::new("ybw", work), &work, |b, _| {
-            let e = YbwEngine::default();
+            let e = YbwEngine::default().with_workers(k);
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
     }
@@ -37,6 +38,7 @@ fn bench_leaf_cost_sweep(c: &mut Criterion) {
 }
 
 fn bench_connect4(c: &mut Criterion) {
+    let k = host_workers();
     let mut g = c.benchmark_group("engine_connect4");
     g.sample_size(10);
     for depth in [5u32, 6] {
@@ -45,7 +47,7 @@ fn bench_connect4(c: &mut Criterion) {
             b.iter(|| black_box(seq_alphabeta(&src, false).value))
         });
         g.bench_with_input(BenchmarkId::new("cascade_w2", depth), &depth, |b, _| {
-            let e = CascadeEngine::with_width(2);
+            let e = CascadeEngine::with_width(2).with_workers(k);
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
     }

@@ -9,7 +9,7 @@
 
 use gt_analysis::table::f2;
 use gt_analysis::Table;
-use gt_core::engine::{CascadeEngine, RoundEngine, YbwEngine};
+use gt_core::engine::{host_workers, CascadeEngine, RoundEngine, YbwEngine};
 use gt_games::{Connect4, GameTreeSource, SyntheticGame};
 use gt_tree::minimax::seq_alphabeta;
 use std::time::Instant;
@@ -18,6 +18,7 @@ use std::time::Instant;
 /// leaf-cost sweep.
 pub fn leaf_cost_sweep(quick: bool) -> Vec<(u32, f64, f64, f64, f64)> {
     let (branching, depth) = if quick { (3, 5) } else { (4, 7) };
+    let cores = host_workers();
     let costs: &[u32] = if quick {
         &[0, 256]
     } else {
@@ -31,11 +32,15 @@ pub fn leaf_cost_sweep(quick: bool) -> Vec<(u32, f64, f64, f64, f64)> {
             let t0 = Instant::now();
             let seq = seq_alphabeta(&src, false);
             let t_seq = t0.elapsed().as_secs_f64() * 1e3;
-            let round = RoundEngine::with_width(2).solve_minmax(&src);
+            let round = RoundEngine::with_width(2)
+                .with_workers(cores)
+                .solve_minmax(&src);
             assert_eq!(round.value, seq.value);
-            let casc = CascadeEngine::with_width(2).solve_minmax(&src);
+            let casc = CascadeEngine::with_width(2)
+                .with_workers(cores)
+                .solve_minmax(&src);
             assert_eq!(casc.value, seq.value);
-            let ybw = YbwEngine::default().solve_minmax(&src);
+            let ybw = YbwEngine::default().with_workers(cores).solve_minmax(&src);
             assert_eq!(ybw.value, seq.value);
             (
                 work,
@@ -50,12 +55,10 @@ pub fn leaf_cost_sweep(quick: bool) -> Vec<(u32, f64, f64, f64, f64)> {
 
 /// Render the E12 report.
 pub fn run(quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = host_workers();
     let mut out = format!(
         "E12  Wall-clock: threaded engines vs sequential (leaf-cost sweep)\n\
-         host parallelism: {cores} core(s)\n\
+         host parallelism: {cores} core(s); each engine runs on {cores} worker(s)\n\
          expectation: with multiple cores, parallel wins grow as per-leaf cost\n\
          dominates bookkeeping; on a single-core host the sweep instead measures\n\
          the engines' overhead (the paper's speed-ups are model-level: see E1-E8)\n\n",
@@ -92,7 +95,9 @@ pub fn run(quick: bool) -> String {
         let t0 = Instant::now();
         let seq = seq_alphabeta(&src, false);
         let t_seq = t0.elapsed().as_secs_f64() * 1e3;
-        let casc = CascadeEngine::with_width(2).solve_minmax(&src);
+        let casc = CascadeEngine::with_width(2)
+            .with_workers(cores)
+            .solve_minmax(&src);
         assert_eq!(casc.value, seq.value, "depth {depth}");
         let t_casc = casc.elapsed.as_secs_f64() * 1e3;
         t2.row([

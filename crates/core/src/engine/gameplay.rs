@@ -3,8 +3,9 @@
 //! This is the "game-playing program" layer the paper hopes its
 //! algorithms will speed up (Section 8): depth-limited search over a
 //! [`gt_games::Game`], each root move scored by a cascade-parallel α-β
-//! search of its subtree, with the root window narrowing left to right
-//! exactly as sequential α-β would.
+//! search of its subtree on the host's workers ([`super::host_workers`]),
+//! with the root window narrowing left to right exactly as sequential
+//! α-β would.
 
 use super::cascade::CascadeEngine;
 use gt_games::{Game, GameTreeSource};
@@ -40,7 +41,7 @@ pub fn best_move<G: Game + Clone>(
         return None;
     }
     let maximizing = game.first_player_to_move(state);
-    let engine = CascadeEngine::with_width(config.width);
+    let engine = CascadeEngine::with_width(config.width).with_workers(super::host_workers());
     let mut alpha = Value::MIN;
     let mut beta = Value::MAX;
     let mut best: Option<(u32, Value)> = None;

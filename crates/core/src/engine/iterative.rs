@@ -7,7 +7,7 @@
 //! iteration's scores so that α-β (sequential *or* parallel) sees the
 //! likely-best move first and prunes harder.  This driver implements
 //! that loop on top of the cascade engine, searching each root move's
-//! subtree with the width-`w` parallel α-β.
+//! subtree with the width-`w` parallel α-β on the host's workers.
 
 use super::cascade::CascadeEngine;
 use gt_games::{Game, GameTreeSource};
@@ -82,7 +82,7 @@ pub fn iterative_best_move<G: Game + Clone>(
         return None;
     }
     let maximizing = game.first_player_to_move(state);
-    let engine = CascadeEngine::with_width(config.width);
+    let engine = CascadeEngine::with_width(config.width).with_workers(super::host_workers());
     // Current root move order (indices into the original numbering).
     let mut order: Vec<u32> = (0..n).collect();
     let mut per_depth = Vec::new();

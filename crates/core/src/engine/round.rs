@@ -1,7 +1,8 @@
 //! Round-synchronous threaded engine.
 //!
 //! Drives the exact frontier logic of the `gt-sim` simulators, but
-//! evaluates each round's leaves on a rayon thread pool.  Because the
+//! evaluates each round's leaves across the engine's workers (one
+//! worker: a plain loop on the calling thread).  Because the
 //! frontier is identical to the model simulation's, the number of
 //! rounds equals the paper's `P(T)` exactly; wall-clock speed-up then
 //! follows the model speed-up whenever per-leaf evaluation cost
@@ -12,11 +13,11 @@ use gt_sim::alphabeta::Model;
 use gt_sim::nor::Policy;
 use gt_sim::{AlphaBetaSim, ExpansionSim, NorSim, RunStats};
 use gt_tree::{NodeKind, TreeSource, Value};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use super::cascade::Cancelled;
+use super::workers::with_workers;
 
 /// Outcome of a threaded engine run.
 #[derive(Debug, Clone)]
@@ -47,32 +48,38 @@ impl EngineResult {
 
 /// Round-synchronous parallel engine.
 ///
-/// `sequential_cutoff` avoids paying rayon overhead on tiny rounds: a
-/// round smaller than the cutoff is evaluated on the calling thread.
+/// Each round's leaves are split across `workers` threads: the calling
+/// thread plus `workers − 1` helpers spawned once per evaluation.  At
+/// one worker every round is a plain loop on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundEngine {
     /// The paper's width parameter `w` (0 = sequential).
     pub width: u32,
-    /// Rounds smaller than this run without forking.
-    pub sequential_cutoff: usize,
+    /// Threads the evaluation may use, the calling thread included.
+    pub workers: u32,
 }
 
 impl Default for RoundEngine {
     fn default() -> Self {
         RoundEngine {
             width: 1,
-            sequential_cutoff: 2,
+            workers: 1,
         }
     }
 }
 
 impl RoundEngine {
-    /// Engine with the given width.
+    /// Engine with the given width, on one worker.
     pub fn with_width(width: u32) -> Self {
         RoundEngine {
             width,
             ..Default::default()
         }
+    }
+
+    /// The same engine on `workers` threads (0 counts as 1).
+    pub fn with_workers(self, workers: u32) -> Self {
+        RoundEngine { workers, ..self }
     }
 
     /// Evaluate a NOR tree (Parallel SOLVE of width `w`, threaded).
@@ -97,17 +104,20 @@ impl RoundEngine {
         // after the first reuses the buffers instead of reallocating.
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
         let mut values: Vec<(u32, Value)> = Vec::new();
-        loop {
+        with_workers(self.workers, |w| loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
             }
             sim.frontier_paths_into(Policy::Width(self.width), &mut frontier);
             if frontier.is_empty() {
-                break;
+                return Ok(());
             }
-            self.evaluate_batch_into(sim.tree().source(), &frontier, &mut values);
+            let src = sim.tree().source();
+            w.map_into(&frontier, &mut values, |(id, path)| {
+                (*id, src.leaf_value(path))
+            });
             sim.apply_step(&values, &mut stats);
-        }
+        })?;
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
     }
 
@@ -130,17 +140,20 @@ impl RoundEngine {
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
         let mut values: Vec<(u32, Value)> = Vec::new();
-        loop {
+        with_workers(self.workers, |w| loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
             }
             sim.frontier_paths_into(self.width, &mut frontier);
             if frontier.is_empty() {
-                break;
+                return Ok(());
             }
-            self.evaluate_batch_into(sim.tree().source(), &frontier, &mut values);
+            let src = sim.tree().source();
+            w.map_into(&frontier, &mut values, |(id, path)| {
+                (*id, src.leaf_value(path))
+            });
             sim.apply_step(&values, &mut stats);
-        }
+        })?;
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
     }
 
@@ -153,51 +166,16 @@ impl RoundEngine {
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
         let mut kinds: Vec<(u32, NodeKind)> = Vec::new();
-        loop {
+        with_workers(self.workers, |w| loop {
             sim.frontier_paths_into(self.width, &mut frontier);
             if frontier.is_empty() {
-                break;
+                return;
             }
-            if frontier.len() < self.sequential_cutoff {
-                kinds.clear();
-                kinds.extend(
-                    frontier
-                        .iter()
-                        .map(|(id, path)| (*id, sim.tree().source().expand(path))),
-                );
-            } else {
-                let src = sim.tree().source();
-                kinds = frontier
-                    .par_iter()
-                    .map(|(id, path)| (*id, src.expand(path)))
-                    .collect();
-            }
+            let src = sim.tree().source();
+            w.map_into(&frontier, &mut kinds, |(id, path)| (*id, src.expand(path)));
             sim.apply_expansions(&kinds, &mut stats);
-        }
+        });
         EngineResult::from_stats(&stats, start.elapsed())
-    }
-
-    fn evaluate_batch_into<S: TreeSource>(
-        &self,
-        source: &S,
-        frontier: &[(u32, Vec<u32>)],
-        out: &mut Vec<(u32, Value)>,
-    ) {
-        if frontier.len() < self.sequential_cutoff {
-            out.clear();
-            out.extend(
-                frontier
-                    .iter()
-                    .map(|(id, path)| (*id, source.leaf_value(path))),
-            );
-        } else {
-            // The parallel collect builds its own vector; hand it to the
-            // caller's slot so at least the sequential rounds reuse it.
-            *out = frontier
-                .par_iter()
-                .map(|(id, path)| (*id, source.leaf_value(path)))
-                .collect();
-        }
     }
 }
 
@@ -207,13 +185,19 @@ mod tests {
     use gt_tree::gen::UniformSource;
     use gt_tree::minimax::{minimax_value, nor_value};
 
+    /// Worker counts every test runs at: the inline path and two
+    /// concurrent ones.
+    const WORKERS: [u32; 3] = [1, 2, 4];
+
     #[test]
     fn nor_value_matches_ground_truth() {
         for seed in 0..10 {
             let s = UniformSource::nor_iid(2, 8, 0.5, seed);
             for w in [0u32, 1, 2] {
-                let r = RoundEngine::with_width(w).solve_nor(&s);
-                assert_eq!(r.value, nor_value(&s), "w={w} seed={seed}");
+                for k in WORKERS {
+                    let r = RoundEngine::with_width(w).with_workers(k).solve_nor(&s);
+                    assert_eq!(r.value, nor_value(&s), "w={w} k={k} seed={seed}");
+                }
             }
         }
     }
@@ -223,8 +207,10 @@ mod tests {
         for seed in 0..10 {
             let s = UniformSource::minmax_iid(3, 4, 0, 100, seed);
             for w in [0u32, 1, 2] {
-                let r = RoundEngine::with_width(w).solve_minmax(&s);
-                assert_eq!(r.value, minimax_value(&s), "w={w} seed={seed}");
+                for k in WORKERS {
+                    let r = RoundEngine::with_width(w).with_workers(k).solve_minmax(&s);
+                    assert_eq!(r.value, minimax_value(&s), "w={w} k={k} seed={seed}");
+                }
             }
         }
     }
@@ -234,10 +220,12 @@ mod tests {
         for seed in 0..6 {
             let s = UniformSource::nor_iid(2, 9, 0.5, seed);
             let model = gt_sim::parallel_solve(&s, 1, false);
-            let engine = RoundEngine::with_width(1).solve_nor(&s);
-            assert_eq!(engine.rounds, model.steps, "seed {seed}");
-            assert_eq!(engine.leaves_evaluated, model.total_work);
-            assert_eq!(engine.max_round_size, model.processors_used);
+            for k in WORKERS {
+                let engine = RoundEngine::with_width(1).with_workers(k).solve_nor(&s);
+                assert_eq!(engine.rounds, model.steps, "seed {seed} k={k}");
+                assert_eq!(engine.leaves_evaluated, model.total_work);
+                assert_eq!(engine.max_round_size, model.processors_used);
+            }
         }
     }
 
@@ -246,9 +234,11 @@ mod tests {
         for seed in 0..6 {
             let s = UniformSource::minmax_iid(2, 6, 0, 1000, seed);
             let model = gt_sim::parallel_alphabeta(&s, 1, false);
-            let engine = RoundEngine::with_width(1).solve_minmax(&s);
-            assert_eq!(engine.rounds, model.steps, "seed {seed}");
-            assert_eq!(engine.leaves_evaluated, model.total_work);
+            for k in WORKERS {
+                let engine = RoundEngine::with_width(1).with_workers(k).solve_minmax(&s);
+                assert_eq!(engine.rounds, model.steps, "seed {seed} k={k}");
+                assert_eq!(engine.leaves_evaluated, model.total_work);
+            }
         }
     }
 
@@ -257,10 +247,14 @@ mod tests {
         for seed in 0..6 {
             let s = UniformSource::nor_iid(2, 8, 0.5, seed);
             let model = gt_sim::n_parallel_solve(&s, 1, false);
-            let engine = RoundEngine::with_width(1).solve_nor_expansion(&s);
-            assert_eq!(engine.value, model.value, "seed {seed}");
-            assert_eq!(engine.rounds, model.steps);
-            assert_eq!(engine.leaves_evaluated, model.total_work);
+            for k in WORKERS {
+                let engine = RoundEngine::with_width(1)
+                    .with_workers(k)
+                    .solve_nor_expansion(&s);
+                assert_eq!(engine.value, model.value, "seed {seed} k={k}");
+                assert_eq!(engine.rounds, model.steps);
+                assert_eq!(engine.leaves_evaluated, model.total_work);
+            }
         }
     }
 
@@ -279,23 +273,36 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_between_rounds() {
-        let s = UniformSource::nor_worst_case(2, 12);
-        let flag = AtomicBool::new(true);
-        assert!(matches!(
-            RoundEngine::with_width(1).solve_nor_cancellable(&s, &flag),
-            Err(Cancelled)
-        ));
-        let s = UniformSource::minmax_iid(2, 6, 0, 9, 1);
-        assert!(matches!(
-            RoundEngine::with_width(1).solve_minmax_cancellable(&s, &flag),
-            Err(Cancelled)
-        ));
-        // An unset flag is invisible.
-        flag.store(false, Ordering::Relaxed);
-        let r = RoundEngine::with_width(1)
-            .solve_minmax_cancellable(&s, &flag)
-            .unwrap();
-        assert_eq!(r.value, minimax_value(&s));
+        for k in WORKERS {
+            let e = RoundEngine::with_width(1).with_workers(k);
+            let flag = AtomicBool::new(true);
+            let s = UniformSource::nor_worst_case(2, 12);
+            assert!(matches!(e.solve_nor_cancellable(&s, &flag), Err(Cancelled)));
+            let s = UniformSource::minmax_iid(2, 6, 0, 9, 1);
+            assert!(matches!(
+                e.solve_minmax_cancellable(&s, &flag),
+                Err(Cancelled)
+            ));
+            // An unset flag is invisible.
+            flag.store(false, Ordering::Relaxed);
+            let r = e.solve_minmax_cancellable(&s, &flag).unwrap();
+            assert_eq!(r.value, minimax_value(&s), "k={k}");
+        }
+    }
+
+    #[test]
+    fn mid_flight_cancellation_from_another_thread() {
+        let s = UniformSource::nor_worst_case(2, 26);
+        for k in WORKERS {
+            let engine = RoundEngine::with_width(1).with_workers(k);
+            let flag = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let h = scope.spawn(|| engine.solve_nor_cancellable(&s, &flag));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                flag.store(true, Ordering::Relaxed);
+                assert!(matches!(h.join().unwrap(), Err(Cancelled)), "k={k}");
+            });
+        }
     }
 
     #[test]

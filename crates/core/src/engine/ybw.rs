@@ -6,29 +6,52 @@
 //! with respect to its siblings — it establishes the window), then
 //! search all the *younger brothers* in parallel with the narrowed
 //! window, aborting them on a cutoff.  Compared to the paper's width-1
-//! cascade, YBW spawns unbounded sibling parallelism below the first
-//! child instead of a fixed-width look-ahead.
+//! cascade, YBW offers every younger brother to the evaluation's idle
+//! workers instead of a fixed-width look-ahead; brothers no idle worker
+//! takes run in order on the forking thread, so at one worker YBW is
+//! sequential α-β.
 
 use gt_tree::{TreeSource, Value};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
-use super::cascade::Cancelled;
+use super::cascade::{fold_atomic, narrow, run_batch, Cancelled};
 use super::round::EngineResult;
+use super::workers::{with_workers, Workers};
 
 /// Young-Brothers-Wait parallel α-β.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct YbwEngine {
     /// Below this remaining depth the search runs sequentially (tiny
     /// subtrees are not worth forking).  Depth here means path length
     /// from the root; 0 disables the cutoff.
     pub sequential_below: u32,
+    /// Threads the evaluation may use, the calling thread included.
+    pub workers: u32,
+}
+
+impl Default for YbwEngine {
+    fn default() -> Self {
+        YbwEngine {
+            sequential_below: 0,
+            workers: 1,
+        }
+    }
 }
 
 impl YbwEngine {
-    /// Engine with a sequential cutoff at the given depth-from-root.
+    /// Engine with a sequential cutoff at the given depth-from-root, on
+    /// one worker.
     pub fn with_cutoff(sequential_below: u32) -> Self {
-        YbwEngine { sequential_below }
+        YbwEngine {
+            sequential_below,
+            ..Default::default()
+        }
+    }
+
+    /// The same engine on `workers` threads (0 counts as 1).
+    pub fn with_workers(self, workers: u32) -> Self {
+        YbwEngine { workers, ..self }
     }
 
     /// Evaluate a MIN/MAX tree (root MAX).
@@ -48,24 +71,26 @@ impl YbwEngine {
     ) -> Result<EngineResult, Cancelled> {
         let start = Instant::now();
         let leaves = AtomicU64::new(0);
-        match self.ab(
-            source,
-            &mut Vec::new(),
-            Value::MIN,
-            Value::MAX,
-            true,
-            cancel,
-            &leaves,
-        ) {
-            Some(v) => Ok(EngineResult {
-                value: v,
-                rounds: 0,
-                leaves_evaluated: leaves.load(Ordering::Relaxed),
-                max_round_size: 0,
-                elapsed: start.elapsed(),
-            }),
-            None => Err(Cancelled),
-        }
+        let v = with_workers(self.workers, |w| {
+            self.ab(
+                source,
+                &mut Vec::new(),
+                Value::MIN,
+                Value::MAX,
+                true,
+                cancel,
+                &leaves,
+                w,
+            )
+        })
+        .ok_or(Cancelled)?;
+        Ok(EngineResult {
+            value: v,
+            rounds: 0,
+            leaves_evaluated: leaves.load(Ordering::Relaxed),
+            max_round_size: 0,
+            elapsed: start.elapsed(),
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -78,6 +103,7 @@ impl YbwEngine {
         maximizing: bool,
         cancel: &AtomicBool,
         leaves: &AtomicU64,
+        workers: &Workers<'_>,
     ) -> Option<Value> {
         if cancel.load(Ordering::Relaxed) {
             return None;
@@ -89,88 +115,50 @@ impl YbwEngine {
         }
         // Eldest brother first, full window.
         path.push(0);
-        let first = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves)?;
+        let first = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves, workers);
         path.pop();
-        let mut best = first;
-        let (mut alpha, mut beta) = (alpha, beta);
-        if maximizing {
-            alpha = alpha.max(best);
-        } else {
-            beta = beta.min(best);
-        }
+        let first = first?;
+        let (alpha, beta) = narrow(maximizing, alpha, beta, first);
         if alpha >= beta || d == 1 {
-            return Some(best);
+            return Some(first);
         }
+        // Small subtrees keep their younger brothers on this thread.
         let deep = self.sequential_below > 0 && path.len() as u32 >= self.sequential_below;
-        if deep {
-            // Sequential tail for small subtrees.
-            for i in 1..d {
-                path.push(i);
-                let v = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves)?;
-                path.pop();
-                if maximizing {
-                    best = best.max(v);
-                    alpha = alpha.max(best);
-                } else {
-                    best = best.min(v);
-                    beta = beta.min(best);
-                }
-                if alpha >= beta {
-                    break;
+        let brothers = if deep { &Workers::INLINE } else { workers };
+        // Younger brothers, in parallel where a worker is idle, each
+        // inside the window the brothers settled so far have narrowed.
+        // A cutoff by any brother skips those not yet started (in-flight
+        // ones run to completion: a cheap best-effort abort without
+        // chaining a new flag per node).
+        let cutoff = AtomicBool::new(false);
+        let best = AtomicI64::new(first);
+        run_batch(brothers, 1, d, path, &|i, p| {
+            if cancel.load(Ordering::Relaxed) || cutoff.load(Ordering::Relaxed) {
+                return;
+            }
+            let (a, b) = narrow(maximizing, alpha, beta, best.load(Ordering::Relaxed));
+            // Empty: a brother has cut the node but not yet raised the flag.
+            if a >= b {
+                return;
+            }
+            p.push(i);
+            let r = self.ab(src, p, a, b, !maximizing, cancel, leaves, brothers);
+            p.pop();
+            if let Some(v) = r {
+                fold_atomic(maximizing, &best, v);
+                // Fail-high (fail-low for MIN) triggers a cutoff.
+                let cuts = if maximizing { v >= beta } else { v <= alpha };
+                if cuts {
+                    cutoff.store(true, Ordering::Relaxed);
                 }
             }
-            return Some(best);
-        }
-        // Younger brothers in parallel with the narrowed window; a
-        // cutoff by any brother aborts the rest.
-        let local_cutoff = AtomicBool::new(false);
-        let best_atomic = AtomicI64::new(best);
-        let base = path.clone();
-        let results: Vec<Option<Value>> = {
-            use rayon::prelude::*;
-            (1..d)
-                .into_par_iter()
-                .map(|i| {
-                    if cancel.load(Ordering::Relaxed) || local_cutoff.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let mut p = base.clone();
-                    p.push(i);
-                    // Brothers share the parent's cancel; the local
-                    // cutoff flag is checked at entry (cheap best-effort
-                    // abort without chaining a new flag per node).
-                    let r = self.ab(src, &mut p, alpha, beta, !maximizing, cancel, leaves);
-                    if let Some(v) = r {
-                        // Fail-high (fail-low for MIN) triggers a cutoff.
-                        let cut = if maximizing { v >= beta } else { v <= alpha };
-                        if cut {
-                            local_cutoff.store(true, Ordering::Relaxed);
-                        }
-                        // Fold into the running best.
-                        best_atomic
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                                Some(if maximizing { cur.max(v) } else { cur.min(v) })
-                            })
-                            .ok();
-                    }
-                    r
-                })
-                .collect()
-        };
+        });
         if cancel.load(Ordering::Relaxed) {
             return None;
         }
-        let mut best = best_atomic.load(Ordering::Relaxed);
-        // Brothers skipped by the best-effort cutoff check never ran;
-        // with a cutoff their values cannot change the fail-hard result.
-        // Without a cutoff every brother must have completed.
-        if !local_cutoff.load(Ordering::Relaxed) {
-            debug_assert!(results.iter().all(|r| r.is_some()));
-            for v in results.into_iter().flatten() {
-                best = if maximizing { best.max(v) } else { best.min(v) };
-            }
-        }
-        Some(best)
+        // Every brother that ran is folded in.  Brothers skipped by a
+        // cutoff cannot change the result: the node already fails high.
+        Some(best.load(Ordering::Relaxed))
     }
 }
 
@@ -181,17 +169,25 @@ mod tests {
     use gt_tree::minimax::minimax_value;
     use gt_tree::ExplicitTree;
 
+    /// Worker counts every test runs at: the inline path and two
+    /// concurrent ones.
+    const WORKERS: [u32; 3] = [1, 2, 4];
+
     #[test]
     fn exact_on_random_uniform_trees() {
         for seed in 0..15 {
             let s = UniformSource::minmax_iid(3, 5, -100, 100, seed);
             let truth = minimax_value(&s);
-            assert_eq!(YbwEngine::default().solve_minmax(&s).value, truth);
-            assert_eq!(
-                YbwEngine::with_cutoff(2).solve_minmax(&s).value,
-                truth,
-                "seed {seed} with cutoff"
-            );
+            for k in WORKERS {
+                let e = YbwEngine::default().with_workers(k);
+                assert_eq!(e.solve_minmax(&s).value, truth, "seed {seed} k={k}");
+                let e = YbwEngine::with_cutoff(2).with_workers(k);
+                assert_eq!(
+                    e.solve_minmax(&s).value,
+                    truth,
+                    "seed {seed} k={k} with cutoff"
+                );
+            }
         }
     }
 
@@ -199,69 +195,88 @@ mod tests {
     fn exact_with_duplicate_leaf_values() {
         for seed in 0..10 {
             let s = UniformSource::minmax_iid(2, 7, 0, 3, seed);
-            assert_eq!(
-                YbwEngine::default().solve_minmax(&s).value,
-                minimax_value(&s),
-                "seed {seed}"
-            );
+            for k in WORKERS {
+                assert_eq!(
+                    YbwEngine::default().with_workers(k).solve_minmax(&s).value,
+                    minimax_value(&s),
+                    "seed {seed} k={k}"
+                );
+            }
         }
     }
 
     #[test]
     fn exact_on_ordered_extremes() {
         let best = UniformSource::minmax_best_ordered(2, 8, 5);
-        assert_eq!(YbwEngine::default().solve_minmax(&best).value, 5);
         let worst = UniformSource::minmax_worst_ordered(2, 8);
-        assert_eq!(
-            YbwEngine::default().solve_minmax(&worst).value,
-            minimax_value(&worst)
-        );
+        for k in WORKERS {
+            let e = YbwEngine::default().with_workers(k);
+            assert_eq!(e.solve_minmax(&best).value, 5, "k={k}");
+            assert_eq!(e.solve_minmax(&worst).value, minimax_value(&worst), "k={k}");
+        }
     }
 
     #[test]
     fn single_leaf_and_irregular_trees() {
-        assert_eq!(
-            YbwEngine::default()
-                .solve_minmax(&ExplicitTree::leaf(9))
-                .value,
-            9
-        );
         let t = ExplicitTree::internal(vec![
             ExplicitTree::leaf(4),
             ExplicitTree::internal(vec![ExplicitTree::leaf(6), ExplicitTree::leaf(2)]),
             ExplicitTree::leaf(5),
         ]);
-        assert_eq!(
-            YbwEngine::default().solve_minmax(&t).value,
-            minimax_value(&t)
-        );
+        for k in WORKERS {
+            let e = YbwEngine::default().with_workers(k);
+            assert_eq!(e.solve_minmax(&ExplicitTree::leaf(9)).value, 9);
+            assert_eq!(e.solve_minmax(&t).value, minimax_value(&t), "k={k}");
+        }
     }
 
     #[test]
     fn cancellation_aborts_and_unset_flag_is_invisible() {
         let s = UniformSource::minmax_iid(3, 5, -100, 100, 7);
-        let flag = AtomicBool::new(true);
-        assert!(matches!(
-            YbwEngine::default().solve_minmax_cancellable(&s, &flag),
-            Err(Cancelled)
-        ));
-        flag.store(false, Ordering::Relaxed);
-        let r = YbwEngine::default()
-            .solve_minmax_cancellable(&s, &flag)
-            .unwrap();
-        assert_eq!(r.value, minimax_value(&s));
+        for k in WORKERS {
+            let e = YbwEngine::default().with_workers(k);
+            let flag = AtomicBool::new(true);
+            assert!(matches!(
+                e.solve_minmax_cancellable(&s, &flag),
+                Err(Cancelled)
+            ));
+            flag.store(false, Ordering::Relaxed);
+            let r = e.solve_minmax_cancellable(&s, &flag).unwrap();
+            assert_eq!(r.value, minimax_value(&s), "k={k}");
+        }
+    }
+
+    #[test]
+    fn mid_flight_cancellation_from_another_thread() {
+        let s = UniformSource::minmax_worst_ordered(2, 26);
+        for k in WORKERS {
+            let engine = YbwEngine::default().with_workers(k);
+            let flag = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let h = scope.spawn(|| engine.solve_minmax_cancellable(&s, &flag));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                flag.store(true, Ordering::Relaxed);
+                assert!(matches!(h.join().unwrap(), Err(Cancelled)), "k={k}");
+            });
+        }
     }
 
     #[test]
     fn eldest_first_keeps_speculation_bounded_on_best_ordered() {
         // With perfect ordering the eldest brother always causes the
-        // cutoff, so YBW's total work stays close to sequential.
+        // cutoff, so YBW's total work stays close to sequential on any
+        // number of workers.
         let s = UniformSource::minmax_best_ordered(2, 10, 0);
         let seq = gt_tree::minimax::seq_alphabeta(&s, false).leaves_evaluated;
-        let ybw = YbwEngine::default().solve_minmax(&s).leaves_evaluated;
-        assert!(
-            ybw <= 2 * seq,
-            "YBW speculation too high on ordered tree: {ybw} vs {seq}"
-        );
+        for k in WORKERS {
+            let ybw = YbwEngine::default()
+                .with_workers(k)
+                .solve_minmax(&s)
+                .leaves_evaluated;
+            assert!(
+                ybw <= 2 * seq,
+                "YBW speculation too high on ordered tree: {ybw} vs {seq} (k={k})"
+            );
+        }
     }
 }

@@ -31,6 +31,7 @@ use crate::metrics::{ReplicaCounters, ReplicaSnapshot, RouterMetrics, RouterSnap
 use crate::split::{plan_levels, Dispatch, Effects, FailKind, Outcome, SplitConfig, SplitMachine};
 use crate::trace::{SpanRecorder, TraceHandle, ROOT_SPAN};
 use gt_analysis::Json;
+use gt_serve::deadline::DeadlineHeap;
 use gt_serve::io::{BufferPool, LineAction, LineReader, Poller, Waker};
 use gt_serve::protocol::{
     error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext, PROTOCOL_VERSION,
@@ -39,7 +40,7 @@ use gt_serve::trace::{spawn_metrics_listener, MetricsListener};
 use gt_serve::workload;
 use gt_tree::split::{path_text, SubtreeSpec};
 use gt_tree::Value;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -334,59 +335,35 @@ enum Action {
     Expire,
 }
 
-struct PacerEntry {
-    due: Instant,
-    tiebreak: u64,
-    relay: Weak<Relay>,
-    action: Action,
-}
-
-impl PartialEq for PacerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.tiebreak == other.tiebreak
-    }
-}
-impl Eq for PacerEntry {}
-impl PartialOrd for PacerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PacerEntry {
-    // Reversed so BinaryHeap pops the earliest deadline first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .due
-            .cmp(&self.due)
-            .then(other.tiebreak.cmp(&self.tiebreak))
-    }
-}
+/// A deferred action on a relay.  The weak handle keeps the pacer from
+/// extending the relay's lifetime; compaction drops the entries of
+/// settled relays before they come due (see [`DeadlineHeap`]).
+type PacerEntry = (Weak<Relay>, Action);
 
 struct Pacer {
-    heap: Mutex<BinaryHeap<PacerEntry>>,
+    heap: Mutex<DeadlineHeap<PacerEntry>>,
     cv: Condvar,
     stop: AtomicBool,
-    counter: AtomicU64,
 }
 
 impl Pacer {
     fn new() -> Pacer {
         Pacer {
-            heap: Mutex::new(BinaryHeap::new()),
+            heap: Mutex::new(DeadlineHeap::new(|(relay, _)| {
+                relay
+                    .upgrade()
+                    .is_some_and(|r| !r.answered.load(Ordering::Relaxed))
+            })),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            counter: AtomicU64::new(0),
         }
     }
 
     fn schedule(&self, due: Instant, relay: &Arc<Relay>, action: Action) {
-        let tiebreak = self.counter.fetch_add(1, Ordering::Relaxed);
-        self.heap.lock().unwrap().push(PacerEntry {
-            due,
-            tiebreak,
-            relay: Arc::downgrade(relay),
-            action,
-        });
+        self.heap
+            .lock()
+            .unwrap()
+            .push(due, (Arc::downgrade(relay), action));
         self.cv.notify_all();
     }
 
@@ -1616,29 +1593,30 @@ fn probe_loop(inner: Arc<Inner>) {
 
 fn pacer_loop(inner: Arc<Inner>) {
     loop {
-        let entry = {
+        let (relay, action) = {
             let mut heap = inner.pacer.heap.lock().unwrap();
             loop {
                 if inner.pacer.stop.load(Ordering::SeqCst) {
                     return;
                 }
                 let now = Instant::now();
-                let wait = match heap.peek() {
-                    None => POLL_INTERVAL,
-                    Some(top) if top.due > now => (top.due - now).min(POLL_INTERVAL),
-                    Some(_) => break heap.pop().unwrap(),
-                };
+                if let Some(due) = heap.pop_due(now) {
+                    break due;
+                }
+                let wait = heap
+                    .next_due()
+                    .map_or(POLL_INTERVAL, |at| (at - now).min(POLL_INTERVAL));
                 let (h, _) = inner.pacer.cv.wait_timeout(heap, wait).unwrap();
                 heap = h;
             }
         };
-        let Some(relay) = entry.relay.upgrade() else {
+        let Some(relay) = relay.upgrade() else {
             continue;
         };
         if relay.answered.load(Ordering::SeqCst) {
             continue;
         }
-        match entry.action {
+        match action {
             Action::Retry => dispatch_attempt(&inner, &relay, AttemptKind::Retry),
             Action::Hedge => {
                 if !relay.hedged.swap(true, Ordering::SeqCst) {
@@ -2475,6 +2453,19 @@ impl Router {
                 );
             }
         }
+        // A started router routes at once: wait (at most one dial
+        // timeout) for the upstream connections to come up, so the
+        // first requests are not shed for want of a connected replica.
+        let dial_deadline =
+            Instant::now() + Duration::from_millis(inner.config.probe_timeout_ms.max(10));
+        while Instant::now() < dial_deadline
+            && inner
+                .members()
+                .iter()
+                .any(|r| r.conns.iter().any(|c| c.writer.lock().unwrap().is_none()))
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
         let probe_thread = {
             let inner2 = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -2657,23 +2648,6 @@ mod tests {
         let rerouted = route_for(key, &table, &tiers);
         assert_eq!(rerouted[2], all_up[0]);
         assert_eq!(rerouted[..2], all_up[1..]);
-    }
-
-    #[test]
-    fn pacer_heap_pops_earliest_due_first() {
-        let now = Instant::now();
-        let mut heap = BinaryHeap::new();
-        for (i, ms) in [30u64, 10, 20].iter().enumerate() {
-            heap.push(PacerEntry {
-                due: now + Duration::from_millis(*ms),
-                tiebreak: i as u64,
-                relay: Weak::new(),
-                action: Action::Retry,
-            });
-        }
-        let order: Vec<Instant> = std::iter::from_fn(|| heap.pop().map(|e| e.due)).collect();
-        assert_eq!(order.len(), 3);
-        assert!(order[0] < order[1] && order[1] < order[2]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! ([`CostClass`]):
 //!
 //! * **Small** jobs — cheap, deterministic specs whose per-job
-//!   dispatch overhead (queue handoff, rayon pool entry, allocator
-//!   traffic, cache/single-flight bookkeeping) rivals their actual
+//!   dispatch overhead (queue handoff, allocator traffic,
+//!   cache/single-flight bookkeeping) rivals their actual
 //!   evaluation cost.  A worker drains up to `batch_max` of them from
 //!   one algorithm's queue in a single dispatch and evaluates the
 //!   whole batch back-to-back on its own thread, amortizing that
@@ -408,12 +408,14 @@ pub fn adaptive_batch_cap(queued: usize, workers: usize, batch_max: usize) -> us
 /// grant a large parallel job can ask for the pool's current idleness
 /// without any reference back into the executor.
 ///
-/// The grant is *advisory* sizing, not a thread reservation: the
-/// work-stealing engine spawns its own scoped threads for the
-/// evaluation and joins them before the dispatch returns, so the pool
-/// never loses a worker.  Sizing by idleness keeps a saturated pool at
-/// one thread per evaluation (exactly the pre-grant behaviour) while
-/// an idle pool lends its spare parallelism to the one big job.
+/// The grant bounds every threaded engine: it is the only source of
+/// engine threads.  An engine granted `k` spawns `k − 1` scoped threads
+/// for the evaluation and joins them before the dispatch returns, so
+/// the pool never loses a worker, and at a grant of 1 it runs on the
+/// dispatching worker alone.  The grant is sizing, not a reservation.
+/// Sizing by idleness keeps a saturated pool at one thread per
+/// evaluation while an idle pool lends its spare parallelism to the
+/// one big job.
 pub struct ActiveGauge {
     workers: usize,
     active: AtomicUsize,

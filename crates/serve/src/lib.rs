@@ -80,12 +80,12 @@
 
 pub mod cache;
 pub mod client;
+pub mod deadline;
 pub mod executor;
 pub mod io;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod singleflight;
 pub mod snapshot;

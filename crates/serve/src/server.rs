@@ -77,6 +77,7 @@
 //! snapshot.
 
 use crate::cache::ShardedCache;
+use crate::deadline::DeadlineHeap;
 use crate::executor::{
     ActiveGauge, CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor,
 };
@@ -101,7 +102,7 @@ use crate::workload::{
 };
 use gt_analysis::Json;
 use gt_tree::{GenSpec, SubtreeSpec};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -603,10 +604,10 @@ fn answer_pending(
     p.release_tenant_slot();
     let (reply, status, work) = match result {
         FlightResult::Done(outcome) => {
-            // Render with the pre-write latency (a reply cannot embed
-            // the cost of its own write); the e2e histogram entry is
-            // recorded after the write below, so the stage ledger
-            // (… + write) and the histogram bracket the same interval.
+            // Render with the latency so far (a reply cannot embed the
+            // cost of its own rendering); the e2e histogram entry is
+            // recorded just before the reply is handed over, below, at
+            // the same instant the write stage ends.
             let render_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             m.ok.fetch_add(1, Ordering::Relaxed);
             let echo = p
@@ -648,7 +649,11 @@ fn answer_pending(
             )
         }
     };
-    let _ = p.conn.enqueue(&reply);
+    // Everything this answer counts is recorded before the reply is
+    // handed to its connection, so a client that has read the reply
+    // finds it in `stats` and in `op:"trace"`.  The latency and the
+    // write stage end at that same instant, so the stage ledger still
+    // sums to the histogram.
     let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if matches!(result, FlightResult::Done(_)) {
         m.latency.record(latency_us);
@@ -670,8 +675,7 @@ fn answer_pending(
         }
     }
     // The write stage: result published (≈ engine end) → reply handed
-    // to the connection's outbound queue (the latency above brackets
-    // the same instant, so the stage ledger still sums to it).
+    // to the connection's outbound queue.
     if let Some(s) = stamps {
         if let Some(ee) = s.engine_end_us() {
             let total = s.base().elapsed().as_micros() as u64;
@@ -681,6 +685,7 @@ fn answer_pending(
         }
     }
     recorder.record(trace_from(p, status, stamps, work, latency_us));
+    let _ = p.conn.enqueue(&reply);
     p.conn.release_slot();
 }
 
@@ -699,38 +704,12 @@ fn retry_after_hint_ms(queued: usize, workers: usize, mean_engine_us: Option<f64
 
 /// One registered deadline.  Weak handles keep the reaper from
 /// extending any request's lifetime: an entry whose pending reply was
-/// already answered (and dropped) upgrades to nothing and is skipped.
-struct ReaperEntry {
-    deadline: Instant,
-    seq: u64,
-    pending: Weak<Pending>,
-    flight: Weak<Flight<Pending>>,
-}
-
-impl PartialEq for ReaperEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for ReaperEntry {}
-impl PartialOrd for ReaperEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ReaperEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .deadline
-            .cmp(&self.deadline)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
+/// already answered (and dropped) upgrades to nothing and is skipped,
+/// and compaction drops it early (see [`DeadlineHeap`]).
+type ReaperEntry = (Weak<Pending>, Weak<Flight<Pending>>);
 
 struct ReaperState {
-    heap: BinaryHeap<ReaperEntry>,
-    seq: u64,
+    heap: DeadlineHeap<ReaperEntry>,
     stopped: bool,
 }
 
@@ -746,8 +725,7 @@ impl Reaper {
     fn new() -> Reaper {
         Reaper {
             state: Mutex::new(ReaperState {
-                heap: BinaryHeap::new(),
-                seq: 0,
+                heap: DeadlineHeap::new(|(pending, _)| pending.strong_count() > 0),
                 stopped: false,
             }),
             cv: Condvar::new(),
@@ -755,17 +733,11 @@ impl Reaper {
     }
 
     fn register(&self, deadline: Instant, pending: &Arc<Pending>, flight: &Arc<Flight<Pending>>) {
-        {
-            let mut st = self.state.lock().unwrap();
-            st.seq += 1;
-            let seq = st.seq;
-            st.heap.push(ReaperEntry {
-                deadline,
-                seq,
-                pending: Arc::downgrade(pending),
-                flight: Arc::downgrade(flight),
-            });
-        }
+        self.state
+            .lock()
+            .unwrap()
+            .heap
+            .push(deadline, (Arc::downgrade(pending), Arc::downgrade(flight)));
         // The new entry may be the earliest; re-arm the timer.
         self.cv.notify_one();
     }
@@ -777,24 +749,23 @@ impl Reaper {
 
     fn run(&self, metrics: &Metrics, recorder: &FlightRecorder) {
         loop {
-            let due = {
+            let (pending, flight) = {
                 let mut st = self.state.lock().unwrap();
                 loop {
                     if st.stopped {
                         return;
                     }
                     let now = Instant::now();
-                    match st.heap.peek() {
-                        Some(e) if e.deadline <= now => break st.heap.pop().unwrap(),
-                        Some(e) => {
-                            let wait = e.deadline - now;
-                            (st, _) = self.cv.wait_timeout(st, wait).unwrap();
-                        }
+                    if let Some(due) = st.heap.pop_due(now) {
+                        break due;
+                    }
+                    match st.heap.next_due() {
+                        Some(at) => (st, _) = self.cv.wait_timeout(st, at - now).unwrap(),
                         None => st = self.cv.wait(st).unwrap(),
                     }
                 }
             };
-            let Some(p) = due.pending.upgrade() else {
+            let Some(p) = pending.upgrade() else {
                 continue; // already answered and dropped
             };
             if !p.try_claim() {
@@ -804,11 +775,10 @@ impl Reaper {
             // before the timeout reply can trigger a follow-up.
             p.release_tenant_slot();
             metrics.timeout.fetch_add(1, Ordering::Relaxed);
-            let _ = p
-                .conn
-                .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
+            // Record the trace first, so a client that has seen the
+            // 408 always finds its trace.
             let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let flight = due.flight.upgrade();
+            let flight = flight.upgrade();
             recorder.record(trace_from(
                 &p,
                 "timeout",
@@ -816,6 +786,9 @@ impl Reaper {
                 None,
                 latency_us,
             ));
+            let _ = p
+                .conn
+                .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
             p.conn.release_slot();
             // Leaving the flight cancels the run if nobody else waits.
             if let Some(f) = flight {

@@ -426,13 +426,15 @@ pub fn evaluate(
     evaluate_with_grant(spec, algo, cancel, 1)
 }
 
-/// Run one validated request with a worker grant: the `par-*`
-/// work-stealing algorithms spread the single evaluation across
-/// `grant` threads (the calling thread plus `grant - 1` scoped
-/// spawns, all joined before returning); every other algorithm
-/// ignores the grant and runs exactly as [`evaluate`].  The one
-/// cancellation flag is polled by every thread of the grant, so a
-/// deadline reaper flipping it stops the whole evaluation.
+/// Run one validated request with a worker grant: the threaded
+/// engines (`par-*`, `round`, `cascade`, `ybw`) spread the single
+/// evaluation across `grant` threads (the calling thread plus
+/// `grant - 1` scoped spawns, all joined before returning), and at a
+/// grant of 1 run on the calling thread alone; the sequential
+/// algorithms ignore the grant.  The grant is the only source of
+/// engine threads.  The one cancellation flag is polled by every
+/// thread of the grant, so a deadline reaper flipping it stops the
+/// whole evaluation.
 pub fn evaluate_with_grant(
     spec: &GenSpec,
     algo: &AlgoSpec,
@@ -509,7 +511,7 @@ pub fn evaluate_with_grant(
                     }
                 }
                 "round" => {
-                    let engine = RoundEngine::with_width(width);
+                    let engine = RoundEngine::with_width(width).with_workers(grant);
                     let r = if spec.is_minmax() {
                         engine.solve_minmax_cancellable(&src, cancel)?
                     } else {
@@ -525,7 +527,7 @@ pub fn evaluate_with_grant(
                     }
                 }
                 "cascade" => {
-                    let engine = CascadeEngine::with_width(width);
+                    let engine = CascadeEngine::with_width(width).with_workers(grant);
                     let r = if spec.is_minmax() {
                         engine.solve_minmax_cancellable(&src, cancel)?
                     } else {
@@ -547,7 +549,8 @@ pub fn evaluate_with_grant(
                                 .map_err(|e| EvalError::Bad(format!("bad cutoff={v}: {e}")))?,
                         ),
                         None => YbwEngine::default(),
-                    };
+                    }
+                    .with_workers(grant);
                     let r = engine.solve_minmax_cancellable(&src, cancel)?;
                     EvalOutcome {
                         value: r.value,

@@ -6,7 +6,7 @@
 //! cargo run --release --example connect_four [depth]
 //! ```
 
-use karp_zhang::core::engine::{best_move, CascadeEngine, SearchConfig};
+use karp_zhang::core::engine::{best_move, host_workers, CascadeEngine, SearchConfig};
 use karp_zhang::games::{Connect4, Game, GameTreeSource};
 use karp_zhang::tree::minimax::seq_alphabeta;
 use std::time::Instant;
@@ -43,7 +43,7 @@ fn main() {
     let t0 = Instant::now();
     let seq = seq_alphabeta(&src, false);
     let t_seq = t0.elapsed();
-    let engine = CascadeEngine::with_width(2);
+    let engine = CascadeEngine::with_width(2).with_workers(host_workers());
     let par = engine.solve_minmax(&src);
     assert_eq!(par.value, seq.value);
     println!("Connect Four opening search, depth {depth}:");

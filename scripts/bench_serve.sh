@@ -107,7 +107,7 @@ ADDR="127.0.0.1:$PORT"
 
 if [ ! -x "$BIN" ]; then
   echo "bench_serve: building release binary" >&2
-  (cd "$ROOT" && cargo build --release -q)
+  (cd "$ROOT" && cargo build --release -q -p gt-cli)
 fi
 
 SERVER_PID=""

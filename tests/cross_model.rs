@@ -11,6 +11,10 @@ use karp_zhang::sim::{
 use karp_zhang::tree::gen::{critical_bias, UniformSource};
 use karp_zhang::tree::minimax::{minimax_value, nor_value, seq_alphabeta, seq_solve};
 
+/// Worker counts the threaded engines run at: the inline path and two
+/// concurrent ones.
+const WORKERS: [u32; 3] = [1, 2, 4];
+
 #[test]
 fn every_nor_algorithm_agrees_on_the_value() {
     for seed in 0..10 {
@@ -26,8 +30,12 @@ fn every_nor_algorithm_agrees_on_the_value() {
             assert_eq!(team_solve(&src, p, false).value, truth, "team p={p}");
         }
         assert_eq!(simulate(&src).value, truth, "message-passing machine");
-        assert_eq!(RoundEngine::with_width(1).solve_nor(&src).value, truth);
-        assert_eq!(CascadeEngine::with_width(1).solve_nor(&src).value, truth);
+        for k in WORKERS {
+            let round = RoundEngine::with_width(1).with_workers(k);
+            assert_eq!(round.solve_nor(&src).value, truth, "round k={k}");
+            let cascade = CascadeEngine::with_width(1).with_workers(k);
+            assert_eq!(cascade.solve_nor(&src).value, truth, "cascade k={k}");
+        }
     }
 }
 
@@ -42,8 +50,12 @@ fn every_minmax_algorithm_agrees_on_the_value() {
             assert_eq!(n_parallel_alphabeta(&src, w, false).value, truth, "nw={w}");
             assert_eq!(r_parallel_alphabeta(&src, w, seed, false).value, truth);
         }
-        assert_eq!(RoundEngine::with_width(2).solve_minmax(&src).value, truth);
-        assert_eq!(CascadeEngine::with_width(2).solve_minmax(&src).value, truth);
+        for k in WORKERS {
+            let round = RoundEngine::with_width(2).with_workers(k);
+            assert_eq!(round.solve_minmax(&src).value, truth, "round k={k}");
+            let cascade = CascadeEngine::with_width(2).with_workers(k);
+            assert_eq!(cascade.solve_minmax(&src).value, truth, "cascade k={k}");
+        }
     }
 }
 
@@ -54,9 +66,11 @@ fn engine_rounds_equal_model_steps() {
         let src = UniformSource::nor_iid(2, 8, 0.5, seed);
         for w in [1u32, 2] {
             let model = parallel_solve(&src, w, false);
-            let engine = RoundEngine::with_width(w).solve_nor(&src);
-            assert_eq!(engine.rounds, model.steps, "w={w} seed={seed}");
-            assert_eq!(engine.leaves_evaluated, model.total_work);
+            for k in WORKERS {
+                let engine = RoundEngine::with_width(w).with_workers(k).solve_nor(&src);
+                assert_eq!(engine.rounds, model.steps, "w={w} k={k} seed={seed}");
+                assert_eq!(engine.leaves_evaluated, model.total_work);
+            }
         }
     }
 }
@@ -109,12 +123,18 @@ fn games_round_trip_through_all_machinery() {
     let src = GameTreeSource::from_initial(TicTacToe, 4);
     let truth = minimax_value(&src);
     assert_eq!(parallel_alphabeta(&src, 1, false).value, truth);
-    assert_eq!(CascadeEngine::with_width(1).solve_minmax(&src).value, truth);
+    for k in WORKERS {
+        let cascade = CascadeEngine::with_width(1).with_workers(k);
+        assert_eq!(cascade.solve_minmax(&src).value, truth, "cascade k={k}");
+    }
     // Synthetic game (binary so the message machine applies to its NOR
     // interpretation is skipped — MIN/MAX engines only).
     let g = SyntheticGame::new(3, 5, 2, 11);
     let src = GameTreeSource::from_initial(g, 5);
     let truth = minimax_value(&src);
     assert_eq!(parallel_alphabeta(&src, 2, false).value, truth);
-    assert_eq!(RoundEngine::with_width(2).solve_minmax(&src).value, truth);
+    for k in WORKERS {
+        let round = RoundEngine::with_width(2).with_workers(k);
+        assert_eq!(round.solve_minmax(&src).value, truth, "round k={k}");
+    }
 }

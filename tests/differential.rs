@@ -14,6 +14,10 @@ use karp_zhang::tree::scout::scout;
 use karp_zhang::tree::source::{mix64, TreeSource};
 use karp_zhang::tree::sss::sss_star;
 
+/// Worker counts the threaded engines run at: the inline path and two
+/// concurrent ones.
+const WORKERS: [u32; 3] = [1, 2, 4];
+
 /// One fully cross-checked NOR instance.
 fn check_nor<S: TreeSource>(src: &S, binary: bool, ctx: &str) {
     let truth = nor_value(src);
@@ -35,16 +39,24 @@ fn check_nor<S: TreeSource>(src: &S, binary: bool, ctx: &str) {
         truth,
         "{ctx}: randomized"
     );
-    assert_eq!(
-        RoundEngine::with_width(1).solve_nor(src).value,
-        truth,
-        "{ctx}: round engine"
-    );
-    assert_eq!(
-        CascadeEngine::with_width(2).solve_nor(src).value,
-        truth,
-        "{ctx}: cascade engine"
-    );
+    for k in WORKERS {
+        assert_eq!(
+            RoundEngine::with_width(1)
+                .with_workers(k)
+                .solve_nor(src)
+                .value,
+            truth,
+            "{ctx}: round engine k={k}"
+        );
+        assert_eq!(
+            CascadeEngine::with_width(2)
+                .with_workers(k)
+                .solve_nor(src)
+                .value,
+            truth,
+            "{ctx}: cascade engine k={k}"
+        );
+    }
     // The message machine handles any arity now; exercise it with a
     // small processor budget to stress multiplexing too.
     let _ = binary;
@@ -78,21 +90,29 @@ fn check_minmax<S: TreeSource>(src: &S, ctx: &str) {
         truth,
         "{ctx}: randomized ab"
     );
-    assert_eq!(
-        CascadeEngine::with_width(2).solve_minmax(src).value,
-        truth,
-        "{ctx}: cascade ab"
-    );
-    assert_eq!(
-        YbwEngine::default().solve_minmax(src).value,
-        truth,
-        "{ctx}: ybw"
-    );
-    assert_eq!(
-        RoundEngine::with_width(1).solve_minmax(src).value,
-        truth,
-        "{ctx}: round ab"
-    );
+    for k in WORKERS {
+        assert_eq!(
+            CascadeEngine::with_width(2)
+                .with_workers(k)
+                .solve_minmax(src)
+                .value,
+            truth,
+            "{ctx}: cascade ab k={k}"
+        );
+        assert_eq!(
+            YbwEngine::default().with_workers(k).solve_minmax(src).value,
+            truth,
+            "{ctx}: ybw k={k}"
+        );
+        assert_eq!(
+            RoundEngine::with_width(1)
+                .with_workers(k)
+                .solve_minmax(src)
+                .value,
+            truth,
+            "{ctx}: round ab k={k}"
+        );
+    }
 }
 
 #[test]

@@ -39,16 +39,24 @@ fn all_engines_agree_with_bouton_on_nim() {
             theory,
             "{piles:?} model w1"
         );
-        assert_eq!(
-            CascadeEngine::with_width(2).solve_minmax(&src).value,
-            theory,
-            "{piles:?} cascade"
-        );
-        assert_eq!(
-            RoundEngine::with_width(1).solve_minmax(&src).value,
-            theory,
-            "{piles:?} round"
-        );
+        for k in [1u32, 2, 4] {
+            assert_eq!(
+                CascadeEngine::with_width(2)
+                    .with_workers(k)
+                    .solve_minmax(&src)
+                    .value,
+                theory,
+                "{piles:?} cascade k={k}"
+            );
+            assert_eq!(
+                RoundEngine::with_width(1)
+                    .with_workers(k)
+                    .solve_minmax(&src)
+                    .value,
+                theory,
+                "{piles:?} round k={k}"
+            );
+        }
     }
 }
 

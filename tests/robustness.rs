@@ -63,7 +63,10 @@ fn extreme_leaf_values_do_not_overflow_windows() {
     let truth = minimax_value(&s);
     assert_eq!(seq_alphabeta(&s, false).value, truth);
     assert_eq!(parallel_alphabeta(&s, 1, false).value, truth);
-    assert_eq!(CascadeEngine::with_width(1).solve_minmax(&s).value, truth);
+    for k in [1u32, 2, 4] {
+        let cascade = CascadeEngine::with_width(1).with_workers(k);
+        assert_eq!(cascade.solve_minmax(&s).value, truth, "k={k}");
+    }
 }
 
 #[test]
@@ -85,7 +88,10 @@ fn othello_full_stack() {
     for w in 0..3 {
         assert_eq!(parallel_alphabeta(&src, w, false).value, truth, "w={w}");
     }
-    assert_eq!(CascadeEngine::with_width(2).solve_minmax(&src).value, truth);
+    for k in [1u32, 2, 4] {
+        let cascade = CascadeEngine::with_width(2).with_workers(k);
+        assert_eq!(cascade.solve_minmax(&src).value, truth, "k={k}");
+    }
 }
 
 #[test]
