@@ -12,12 +12,10 @@
 use gt_core::engine::{Cancelled, CascadeEngine, RoundEngine, TtSearch, YbwEngine};
 use gt_games::{Connect4, Game, Nim, TicTacToe};
 use gt_sim::{parallel_alphabeta_cancellable, parallel_solve_cancellable};
-use gt_tree::minimax::{
-    seq_alphabeta_cancellable, seq_alphabeta_windowed_cancellable, seq_solve_cancellable,
-};
+use gt_tree::minimax::{seq_alphabeta_cancellable, seq_solve_cancellable};
 use gt_tree::par::{par_alphabeta, par_solve};
-use gt_tree::split::parse_path;
-use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, SubtreeView, TreeSource, Value};
+use gt_tree::split::{evaluate_at, parse_path};
+use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, TreeSource, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -303,10 +301,10 @@ pub fn validate_subeval(
     Ok(ValidatedSubeval { sub, cache_key })
 }
 
-/// Run one validated subtree evaluation on the calling thread: NOR
-/// families run the short-circuit solver on the subtree view, minmax
-/// families run windowed fail-soft α-β with the player chosen by the
-/// path's depth parity.
+/// Run one validated subtree evaluation on the calling thread, starting
+/// the search at the subtree root in place ([`evaluate_at`]): NOR
+/// families run the short-circuit solver, minmax families run windowed
+/// fail-soft α-β with the player chosen by the path's depth parity.
 pub fn evaluate_subtree(sub: &SubtreeSpec, cancel: &AtomicBool) -> Result<EvalOutcome, EvalError> {
     struct SubRun<'a> {
         sub: &'a SubtreeSpec,
@@ -315,19 +313,7 @@ pub fn evaluate_subtree(sub: &SubtreeSpec, cancel: &AtomicBool) -> Result<EvalOu
     impl SourceVisitor for SubRun<'_> {
         type Out = Result<EvalOutcome, EvalError>;
         fn visit<S: TreeSource + Send + 'static>(self, src: S) -> Self::Out {
-            let view = SubtreeView::new(src, self.sub.path.clone());
-            let st = if self.sub.spec.is_minmax() {
-                seq_alphabeta_windowed_cancellable(
-                    &view,
-                    false,
-                    self.sub.alpha,
-                    self.sub.beta,
-                    self.sub.maximizing(),
-                    self.cancel,
-                )?
-            } else {
-                seq_solve_cancellable(&view, false, self.cancel)?
-            };
+            let st = evaluate_at(&src, self.sub, self.cancel)?;
             Ok(EvalOutcome {
                 value: st.value,
                 work: st.leaves_evaluated,

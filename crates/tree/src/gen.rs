@@ -18,7 +18,7 @@
 //! * [`NearUniformSource`] — the "close to uniform" trees of Corollary 2
 //!   (arity in `[⌈αd⌉, d]`, leaf depth in `[⌈βn⌉, n]`).
 
-use crate::source::{path_hash, TreeSource, Value};
+use crate::source::{path_hash, path_hash_root, path_hash_step, TreeSource, Value};
 
 /// The golden-ratio leaf bias `p = (√5 − 1)/2 ≈ 0.618` from Althöfer's
 /// i.i.d. analysis cited in Section 6.  At this bias a uniform binary
@@ -50,9 +50,40 @@ pub fn critical_bias(d: u32) -> f64 {
 }
 
 /// Pluggable leaf-value assignment for [`UniformSource`].
+///
+/// The key methods follow [`TreeSource`]'s per-node key contract (the
+/// source forwards them here): folding [`child_key`] along a leaf's
+/// path from [`root_key`] gives a key `k` with
+/// [`value_keyed`]`(path, k) == `[`value`]`(path)`.  The defaults ignore
+/// the key; assignments that hash the path override them with the
+/// running [`path_hash`] state so a leaf costs one hash step, not a
+/// pass over its path.
+///
+/// [`root_key`]: LeafValues::root_key
+/// [`child_key`]: LeafValues::child_key
+/// [`value_keyed`]: LeafValues::value_keyed
+/// [`value`]: LeafValues::value
 pub trait LeafValues: Sync {
     /// The value of the leaf at `path` (the full root-to-leaf path).
     fn value(&self, path: &[u32]) -> Value;
+
+    /// The key of the root.
+    #[inline]
+    fn root_key(&self) -> u64 {
+        0
+    }
+
+    /// The key of child `i` of the node whose key is `key`.
+    #[inline]
+    fn child_key(&self, key: u64, _i: u32) -> u64 {
+        key
+    }
+
+    /// The value of the leaf at `path`, whose key is `key`.
+    #[inline]
+    fn value_keyed(&self, path: &[u32], _key: u64) -> Value {
+        self.value(path)
+    }
 }
 
 impl<F: Fn(&[u32]) -> Value + Sync> LeafValues for F {
@@ -147,6 +178,22 @@ impl<L: LeafValues> TreeSource for UniformSource<L> {
         self.leaves.value(path)
     }
 
+    #[inline]
+    fn root_key(&self) -> u64 {
+        self.leaves.root_key()
+    }
+
+    #[inline]
+    fn child_key(&self, key: u64, i: u32) -> u64 {
+        self.leaves.child_key(key, i)
+    }
+
+    #[inline]
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        debug_assert_eq!(path.len() as u32, self.height);
+        self.leaves.value_keyed(path, key)
+    }
+
     fn height_hint(&self) -> Option<u32> {
         Some(self.height)
     }
@@ -176,7 +223,22 @@ impl IidBernoulli {
 
 impl LeafValues for IidBernoulli {
     fn value(&self, path: &[u32]) -> Value {
-        Value::from(path_hash(self.seed, path) <= self.threshold)
+        self.value_keyed(path, path_hash(self.seed, path))
+    }
+
+    #[inline]
+    fn root_key(&self) -> u64 {
+        path_hash_root(self.seed)
+    }
+
+    #[inline]
+    fn child_key(&self, key: u64, i: u32) -> u64 {
+        path_hash_step(key, i)
+    }
+
+    #[inline]
+    fn value_keyed(&self, _path: &[u32], key: u64) -> Value {
+        Value::from(key <= self.threshold)
     }
 }
 
@@ -265,7 +327,22 @@ impl IidMinMax {
 
 impl LeafValues for IidMinMax {
     fn value(&self, path: &[u32]) -> Value {
-        self.lo + (path_hash(self.seed, path) % self.span) as Value
+        self.value_keyed(path, path_hash(self.seed, path))
+    }
+
+    #[inline]
+    fn root_key(&self) -> u64 {
+        path_hash_root(self.seed)
+    }
+
+    #[inline]
+    fn child_key(&self, key: u64, i: u32) -> u64 {
+        path_hash_step(key, i)
+    }
+
+    #[inline]
+    fn value_keyed(&self, _path: &[u32], key: u64) -> Value {
+        self.lo + (key % self.span) as Value
     }
 }
 
@@ -330,10 +407,13 @@ impl CorrelatedMinMax {
 
 impl LeafValues for CorrelatedMinMax {
     fn value(&self, path: &[u32]) -> Value {
+        // One running hash: after step `i` it is the hash of the prefix
+        // `path[..=i]`, whose edge increment it draws.
         let span = 2 * self.spread as u64 + 1;
+        let mut h = path_hash_root(self.seed);
         let mut sum: Value = 0;
-        for i in 0..path.len() {
-            let h = path_hash(self.seed, &path[..=i]);
+        for &c in path {
+            h = path_hash_step(h, c);
             sum += (h % span) as Value - self.spread;
         }
         sum
@@ -544,6 +624,34 @@ mod tests {
         assert!((a - b).abs() <= 10, "siblings too far apart: {a} vs {b}");
         // Deterministic.
         assert_eq!(a, CorrelatedMinMax::new(5, 3).value(&[0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn correlated_running_hash_matches_the_prefix_hash_formula() {
+        // The original formula re-hashed every prefix of the path; the
+        // running hash must give the same values.
+        fn prefix_formula(g: &CorrelatedMinMax, path: &[u32]) -> Value {
+            let span = 2 * g.spread as u64 + 1;
+            let mut sum: Value = 0;
+            for i in 0..path.len() {
+                let h = path_hash(g.seed, &path[..=i]);
+                sum += (h % span) as Value - g.spread;
+            }
+            sum
+        }
+        let mut state = 17u64;
+        for case in 0..400u64 {
+            let g = CorrelatedMinMax::new((case % 12) as Value, case);
+            state = crate::source::mix64(state);
+            let len = (state % 16) as usize;
+            let path: Vec<u32> = (0..len)
+                .map(|_| {
+                    state = crate::source::mix64(state);
+                    (state % 7) as u32
+                })
+                .collect();
+            assert_eq!(g.value(&path), prefix_formula(&g, &path), "{path:?}");
+        }
     }
 
     #[test]

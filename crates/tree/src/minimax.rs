@@ -13,6 +13,11 @@
 //!   classical fail-hard depth-first procedure with `α ≥ β` cutoffs,
 //!   reporting `S̃(T)` and `L̃(T)`.
 //!
+//! The two searches carry the source's per-node key down the recursion
+//! (see [`TreeSource::root_key`]), so a generated leaf costs O(1), and
+//! [`seq_solve_at`] / [`seq_alphabeta_at`] start them at any subtree
+//! root of the whole tree in place.
+//!
 //! These recursive versions exist alongside the step-driven simulators in
 //! `gt-sim` for two reasons: they are *fast* (no per-step frontier scan),
 //! and they provide an independent implementation to cross-check the
@@ -125,6 +130,26 @@ pub fn seq_solve_cancellable<S: TreeSource>(
     record_leaves: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
+    seq_solve_at(source, &[], record_leaves, cancel)
+}
+
+/// The key of the node at `path`: the source's key folded from the root.
+fn key_at<S: TreeSource>(source: &S, path: &[u32]) -> u64 {
+    path.iter()
+        .fold(source.root_key(), |k, &i| source.child_key(k, i))
+}
+
+/// [`seq_solve_cancellable`] on the subtree whose root is the node at
+/// `root` (a path from the whole-tree root; empty means the whole
+/// tree).  The search runs on `source` itself, so recorded leaf paths
+/// are whole-tree paths.  NOR subtrees are NOR trees, so no other
+/// context is needed.
+pub fn seq_solve_at<S: TreeSource>(
+    source: &S,
+    root: &[u32],
+    record_leaves: bool,
+    cancel: &AtomicBool,
+) -> Result<SeqStats, Cancelled> {
     struct Ctx<'a, S> {
         s: &'a S,
         cancel: &'a AtomicBool,
@@ -133,7 +158,11 @@ pub fn seq_solve_cancellable<S: TreeSource>(
         cutoffs: u64,
         record: Option<Vec<Vec<u32>>>,
     }
-    fn go<S: TreeSource>(c: &mut Ctx<'_, S>, path: &mut Vec<u32>) -> Result<Value, Cancelled> {
+    fn go<S: TreeSource>(
+        c: &mut Ctx<'_, S>,
+        path: &mut Vec<u32>,
+        key: u64,
+    ) -> Result<Value, Cancelled> {
         c.expanded += 1;
         let d = c.s.arity(path);
         if d == 0 {
@@ -144,11 +173,11 @@ pub fn seq_solve_cancellable<S: TreeSource>(
             if let Some(r) = &mut c.record {
                 r.push(path.clone());
             }
-            return Ok(c.s.leaf_value(path));
+            return Ok(c.s.leaf_value_keyed(path, key));
         }
         for i in 0..d {
             path.push(i);
-            let b = go(c, path);
+            let b = go(c, path, c.s.child_key(key, i));
             path.pop();
             if b? != 0 {
                 if i + 1 < d {
@@ -167,7 +196,8 @@ pub fn seq_solve_cancellable<S: TreeSource>(
         cutoffs: 0,
         record: record_leaves.then(Vec::new),
     };
-    let value = go(&mut c, &mut Vec::new())?;
+    let mut path = root.to_vec();
+    let value = go(&mut c, &mut path, key_at(source, root))?;
     Ok(SeqStats {
         value,
         leaves_evaluated: c.leaves,
@@ -225,6 +255,23 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
     maximizing: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
+    seq_alphabeta_at(source, &[], record_leaves, alpha, beta, maximizing, cancel)
+}
+
+/// [`seq_alphabeta_windowed_cancellable`] on the subtree whose root is
+/// the node at `root` (a path from the whole-tree root; empty means the
+/// whole tree), with `maximizing` naming the player to move there.  The
+/// search runs on `source` itself, so recorded leaf paths are
+/// whole-tree paths.
+pub fn seq_alphabeta_at<S: TreeSource>(
+    source: &S,
+    root: &[u32],
+    record_leaves: bool,
+    alpha: Value,
+    beta: Value,
+    maximizing: bool,
+    cancel: &AtomicBool,
+) -> Result<SeqStats, Cancelled> {
     struct Ctx<'a, S> {
         s: &'a S,
         cancel: &'a AtomicBool,
@@ -236,6 +283,7 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
     fn go<S: TreeSource>(
         c: &mut Ctx<'_, S>,
         path: &mut Vec<u32>,
+        key: u64,
         mut alpha: Value,
         mut beta: Value,
         maximizing: bool,
@@ -250,12 +298,12 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
             if let Some(r) = &mut c.record {
                 r.push(path.clone());
             }
-            return Ok(c.s.leaf_value(path));
+            return Ok(c.s.leaf_value_keyed(path, key));
         }
         let mut best = if maximizing { Value::MIN } else { Value::MAX };
         for i in 0..d {
             path.push(i);
-            let v = go(c, path, alpha, beta, !maximizing);
+            let v = go(c, path, c.s.child_key(key, i), alpha, beta, !maximizing);
             path.pop();
             let v = v?;
             if maximizing {
@@ -282,7 +330,15 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
         cutoffs: 0,
         record: record_leaves.then(Vec::new),
     };
-    let value = go(&mut c, &mut Vec::new(), alpha, beta, maximizing)?;
+    let mut path = root.to_vec();
+    let value = go(
+        &mut c,
+        &mut path,
+        key_at(source, root),
+        alpha,
+        beta,
+        maximizing,
+    )?;
     Ok(SeqStats {
         value,
         leaves_evaluated: c.leaves,

@@ -45,9 +45,11 @@
 //! sub-evaluation, so a deadline reaper flipping that single flag
 //! stops *all* threads of a multi-worker grant cooperatively.
 
-use crate::minimax::{seq_alphabeta_windowed_cancellable, seq_solve_cancellable};
+use crate::minimax::{
+    seq_alphabeta_at, seq_alphabeta_windowed_cancellable, seq_solve_at, seq_solve_cancellable,
+};
 use crate::source::{Cancelled, TreeSource, Value};
-use crate::split::{Aggregator, NodeMode, SubtreeView};
+use crate::split::{Aggregator, NodeMode};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -266,15 +268,16 @@ impl<'a, S: TreeSource> Pool<'a, S> {
         None
     }
 
-    /// Evaluate the subtree at `path` sequentially under `(alpha, beta)`.
+    /// Evaluate the subtree at `path` sequentially under `(alpha, beta)`,
+    /// starting the search there in place.
     fn eval_leafward(&self, path: &[u32], alpha: Value, beta: Value) -> Result<Value, Cancelled> {
-        let view = SubtreeView::new(self.source, path.to_vec());
         let st = match self.kind {
-            EvalKind::Nor => seq_solve_cancellable(&view, false, self.cancel)?,
+            EvalKind::Nor => seq_solve_at(self.source, path, false, self.cancel)?,
             EvalKind::Minmax { .. } => {
                 let maximizing = self.kind.mode_at(path.len()) == NodeMode::Max;
-                seq_alphabeta_windowed_cancellable(
-                    &view,
+                seq_alphabeta_at(
+                    self.source,
+                    path,
                     false,
                     alpha,
                     beta,

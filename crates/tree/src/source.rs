@@ -40,6 +40,25 @@ pub enum NodeKind {
 ///
 /// Sources are required to be `Sync` so that frontier leaves can be
 /// evaluated from multiple threads.
+///
+/// ## Per-node keys
+///
+/// A search that walks the tree top-down can carry a `u64` *key* per
+/// node so that a leaf's value costs O(1) instead of a pass over its
+/// whole path.  The contract: the key of the root is [`root_key`], the
+/// key of child `i` of a node with key `k` is [`child_key`]`(k, i)`, and
+/// for the key `k` folded that way along a leaf's `path`,
+/// [`leaf_value_keyed`]`(path, k) == `[`leaf_value`]`(path)`.  The
+/// defaults ignore the key and call [`leaf_value`], so a source that
+/// does not override them is still correct; a generator whose leaf
+/// values hash the path (see [`path_hash`]) overrides all three with
+/// the running hash state.  Keys are only meaningful to the source that
+/// produced them.
+///
+/// [`root_key`]: TreeSource::root_key
+/// [`child_key`]: TreeSource::child_key
+/// [`leaf_value_keyed`]: TreeSource::leaf_value_keyed
+/// [`leaf_value`]: TreeSource::leaf_value
 pub trait TreeSource: Sync {
     /// Number of children of the node at `path`; `0` means the node is a
     /// leaf.
@@ -47,6 +66,26 @@ pub trait TreeSource: Sync {
 
     /// Value of the leaf at `path`.  Only called when `arity(path) == 0`.
     fn leaf_value(&self, path: &[u32]) -> Value;
+
+    /// The key of the root (see the trait docs for the key contract).
+    #[inline]
+    fn root_key(&self) -> u64 {
+        0
+    }
+
+    /// The key of child `i` of the node whose key is `key`.
+    #[inline]
+    fn child_key(&self, key: u64, _i: u32) -> u64 {
+        key
+    }
+
+    /// Value of the leaf at `path`, whose key is `key`: equal to
+    /// [`leaf_value`](TreeSource::leaf_value)`(path)` whenever `key` was
+    /// folded from [`root_key`](TreeSource::root_key) along `path`.
+    #[inline]
+    fn leaf_value_keyed(&self, path: &[u32], _key: u64) -> Value {
+        self.leaf_value(path)
+    }
 
     /// Expand the node at `path` in one query.
     fn expand(&self, path: &[u32]) -> NodeKind {
@@ -70,6 +109,15 @@ impl<S: TreeSource + ?Sized> TreeSource for &S {
     fn leaf_value(&self, path: &[u32]) -> Value {
         (**self).leaf_value(path)
     }
+    fn root_key(&self) -> u64 {
+        (**self).root_key()
+    }
+    fn child_key(&self, key: u64, i: u32) -> u64 {
+        (**self).child_key(key, i)
+    }
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        (**self).leaf_value_keyed(path, key)
+    }
     fn height_hint(&self) -> Option<u32> {
         (**self).height_hint()
     }
@@ -81,6 +129,15 @@ impl<S: TreeSource + ?Sized> TreeSource for Box<S> {
     }
     fn leaf_value(&self, path: &[u32]) -> Value {
         (**self).leaf_value(path)
+    }
+    fn root_key(&self) -> u64 {
+        (**self).root_key()
+    }
+    fn child_key(&self, key: u64, i: u32) -> u64 {
+        (**self).child_key(key, i)
+    }
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        (**self).leaf_value_keyed(path, key)
     }
     fn height_hint(&self) -> Option<u32> {
         (**self).height_hint()
@@ -154,14 +211,25 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic hash of `(seed, path)`.
+/// Deterministic hash of `(seed, path)`: [`path_hash_step`] folded
+/// along `path` from [`path_hash_root`].  A top-down search can carry
+/// the running state instead and pay one step per node.
 #[inline]
 pub fn path_hash(seed: u64, path: &[u32]) -> u64 {
-    let mut h = mix64(seed ^ 0xa076_1d64_78bd_642f);
-    for &c in path {
-        h = mix64(h ^ u64::from(c).wrapping_mul(0xe703_7ed1_a0b4_28db));
-    }
-    h
+    path.iter()
+        .fold(path_hash_root(seed), |h, &c| path_hash_step(h, c))
+}
+
+/// [`path_hash`] of the empty path (the root).
+#[inline]
+pub fn path_hash_root(seed: u64) -> u64 {
+    mix64(seed ^ 0xa076_1d64_78bd_642f)
+}
+
+/// Extend a [`path_hash`] state `h` by the child index `c`.
+#[inline]
+pub fn path_hash_step(h: u64, c: u32) -> u64 {
+    mix64(h ^ u64::from(c).wrapping_mul(0xe703_7ed1_a0b4_28db))
 }
 
 /// The image of child index `c` (out of `d`) under the pseudo-random

@@ -15,9 +15,11 @@
 //!   leaf values from `(seed, full path)`, any replica can regenerate
 //!   its assigned subtree locally from the spec alone — the wire
 //!   carries a few dozen bytes, never tree data.
-//! * [`SubtreeView`] — a [`TreeSource`] adapter that prefixes the
-//!   subtree root path onto every `arity`/`leaf_value` query, so the
-//!   existing evaluators run unmodified on the subtree.
+//! * [`sub_evaluate`] / [`evaluate_at`] — the sequential evaluation of
+//!   one spec.  They start [`seq_solve_at`] / [`seq_alphabeta_at`] at
+//!   the subtree root *in place*: the searches walk the whole-tree
+//!   source from a pre-filled path, with no adapter in between, so a
+//!   leaf costs what it costs in a whole-tree search.
 //! * [`split_children`] / [`Aggregator`] — the splitter that
 //!   decomposes a spec into the root's child subtrees, and the fold
 //!   that absorbs child values through the NOR / minimax recursion
@@ -31,14 +33,17 @@
 //! exact as required — and a fail-low result can never raise the
 //! running maximum (symmetrically for MIN).  When children are
 //! absorbed strictly eldest-first with the window narrowed between
-//! them, the fold reproduces [`seq_alphabeta_windowed`] bit for bit;
+//! them, the fold reproduces
+//! [`seq_alphabeta_windowed`](crate::minimax::seq_alphabeta_windowed)
+//! bit for bit;
 //! [`sub_evaluate`] plus [`split_value_reference`] encode that
 //! equivalence and the proptests in `tests/split_proptest.rs` hold it
 //! over every generator family.
 
-use crate::minimax::{seq_alphabeta_windowed, seq_solve, SeqStats};
-use crate::source::{TreeSource, Value};
-use crate::spec::GenSpec;
+use crate::minimax::{seq_alphabeta_at, seq_solve_at, SeqStats};
+use crate::source::{Cancelled, TreeSource, Value};
+use crate::spec::{GenSpec, SourceVisitor};
+use std::sync::atomic::AtomicBool;
 
 /// Render a subtree root path as dot-joined indices (`"0.2.1"`); the
 /// whole-tree root is the empty string.
@@ -148,46 +153,6 @@ impl SubtreeSpec {
             alpha,
             beta,
         })
-    }
-}
-
-/// A [`TreeSource`] that exposes the subtree rooted at `root` of an
-/// underlying source, by prefixing `root` onto every query path.  The
-/// generators derive leaf values from the full path, so the view
-/// reproduces the subtree *exactly* — the property that lets a replica
-/// regenerate its assignment from a [`SubtreeSpec`] alone.
-pub struct SubtreeView<S> {
-    inner: S,
-    root: Vec<u32>,
-}
-
-impl<S: TreeSource> SubtreeView<S> {
-    /// View `inner` from `root` down.
-    pub fn new(inner: S, root: Vec<u32>) -> SubtreeView<S> {
-        SubtreeView { inner, root }
-    }
-
-    fn full(&self, path: &[u32]) -> Vec<u32> {
-        let mut p = Vec::with_capacity(self.root.len() + path.len());
-        p.extend_from_slice(&self.root);
-        p.extend_from_slice(path);
-        p
-    }
-}
-
-impl<S: TreeSource> TreeSource for SubtreeView<S> {
-    fn arity(&self, path: &[u32]) -> u32 {
-        self.inner.arity(&self.full(path))
-    }
-
-    fn leaf_value(&self, path: &[u32]) -> Value {
-        self.inner.leaf_value(&self.full(path))
-    }
-
-    fn height_hint(&self) -> Option<u32> {
-        self.inner
-            .height_hint()
-            .map(|h| h.saturating_sub(self.root.len() as u32))
     }
 }
 
@@ -337,46 +302,70 @@ impl Aggregator {
 }
 
 /// Evaluate one [`SubtreeSpec`] sequentially: the reference for what a
-/// replica computes when handed the spec over the wire.  NOR families
-/// run `seq_solve` on the view (NOR subtrees are NOR trees; the window
-/// is irrelevant to a boolean short-circuit fold); minimax families
-/// run windowed α-β with the player chosen by depth parity.
+/// replica computes when handed the spec over the wire.  Builds the
+/// spec's concrete source and runs [`evaluate_at`] on it.
 pub fn sub_evaluate(sub: &SubtreeSpec) -> Result<SeqStats, String> {
-    let source = sub.spec.build()?;
-    let view = SubtreeView::new(source, sub.path.clone());
+    struct Run<'a>(&'a SubtreeSpec);
+    impl SourceVisitor for Run<'_> {
+        type Out = SeqStats;
+        fn visit<S: TreeSource + Send + 'static>(self, source: S) -> SeqStats {
+            let never = AtomicBool::new(false);
+            evaluate_at(&source, self.0, &never).expect("never cancelled")
+        }
+    }
+    sub.spec.build_visit(Run(sub))
+}
+
+/// Evaluate `sub` on `source` (the tree `sub.spec` generates), starting
+/// at the subtree root in place.  NOR families run the short-circuit
+/// solver (NOR subtrees are NOR trees; the window is irrelevant to a
+/// boolean fold); minimax families run windowed fail-soft α-β with the
+/// player chosen by the path's depth parity.
+pub fn evaluate_at<S: TreeSource>(
+    source: &S,
+    sub: &SubtreeSpec,
+    cancel: &AtomicBool,
+) -> Result<SeqStats, Cancelled> {
     if sub.spec.is_minmax() {
-        Ok(seq_alphabeta_windowed(
-            &view,
+        seq_alphabeta_at(
+            source,
+            &sub.path,
             false,
             sub.alpha,
             sub.beta,
             sub.maximizing(),
-        ))
+            cancel,
+        )
     } else {
-        Ok(seq_solve(&view, false))
+        seq_solve_at(source, &sub.path, false, cancel)
     }
 }
 
 /// Split → sub-evaluate → aggregate, strictly eldest-first with the
 /// window narrowed between children, recursing while `depth > 0` (a
-/// leaf or `depth == 0` falls back to [`sub_evaluate`]).  Returns the
+/// leaf or `depth == 0` falls back to [`evaluate_at`]).  Returns the
 /// value and the total leaves evaluated across all sub-evaluations —
 /// the in-order scatter-gather reference that must agree with
-/// [`seq_solve`] / [`seq_alphabeta_windowed`] on the whole tree.
+/// [`seq_solve`](crate::minimax::seq_solve) /
+/// [`seq_alphabeta_windowed`](crate::minimax::seq_alphabeta_windowed)
+/// on the whole tree.
 pub fn split_value_reference(sub: &SubtreeSpec, depth: u32) -> Result<(Value, u64), String> {
-    let source = sub.spec.build()?;
-    split_value_inner(&source, sub, depth)
+    struct Run<'a>(&'a SubtreeSpec, u32);
+    impl SourceVisitor for Run<'_> {
+        type Out = (Value, u64);
+        fn visit<S: TreeSource + Send + 'static>(self, source: S) -> (Value, u64) {
+            split_value_inner(&source, self.0, self.1)
+        }
+    }
+    sub.spec.build_visit(Run(sub, depth))
 }
 
-fn split_value_inner<S: TreeSource>(
-    source: &S,
-    sub: &SubtreeSpec,
-    depth: u32,
-) -> Result<(Value, u64), String> {
+fn split_value_inner<S: TreeSource>(source: &S, sub: &SubtreeSpec, depth: u32) -> (Value, u64) {
     let children = split_children(source, sub);
     if depth == 0 || children.is_empty() {
-        let st = sub_evaluate(sub)?;
-        return Ok((st.value, st.leaves_evaluated));
+        let never = AtomicBool::new(false);
+        let st = evaluate_at(source, sub, &never).expect("never cancelled");
+        return (st.value, st.leaves_evaluated);
     }
     let mut agg = Aggregator::new(
         node_mode(&sub.spec, sub.path.len()),
@@ -395,11 +384,11 @@ fn split_value_inner<S: TreeSource>(
             beta,
             ..child
         };
-        let (v, l) = split_value_inner(source, &narrowed, depth - 1)?;
+        let (v, l) = split_value_inner(source, &narrowed, depth - 1);
         leaves += l;
         agg.absorb(v);
     }
-    Ok((agg.value(), leaves))
+    (agg.value(), leaves)
 }
 
 #[cfg(test)]
@@ -441,24 +430,80 @@ mod tests {
         assert!(SubtreeSpec::parse("worst:n=4#0").is_err(), "no window");
     }
 
+    /// Exhaustive value of the subtree at `path`, read through plain
+    /// `leaf_value` on the whole tree.
+    fn exhaustive(s: &impl TreeSource, path: &mut Vec<u32>, mode: NodeMode) -> Value {
+        let d = s.arity(path);
+        if d == 0 {
+            return s.leaf_value(path);
+        }
+        let values: Vec<Value> = (0..d)
+            .map(|i| {
+                path.push(i);
+                let v = exhaustive(s, path, node_mode_below(mode));
+                path.pop();
+                v
+            })
+            .collect();
+        match mode {
+            NodeMode::Nor => Value::from(values.iter().all(|&v| v == 0)),
+            NodeMode::Max => *values.iter().max().unwrap(),
+            NodeMode::Min => *values.iter().min().unwrap(),
+        }
+    }
+
+    fn node_mode_below(mode: NodeMode) -> NodeMode {
+        match mode {
+            NodeMode::Nor => NodeMode::Nor,
+            NodeMode::Max => NodeMode::Min,
+            NodeMode::Min => NodeMode::Max,
+        }
+    }
+
     #[test]
-    fn view_reproduces_the_subtree_exactly() {
-        let g = spec("minmax:d=3,n=5,seed=7");
-        let whole = g.build().unwrap();
-        for path in [vec![0], vec![2, 1], vec![1, 2, 0]] {
-            let view = SubtreeView::new(g.build().unwrap(), path.clone());
-            // Every leaf under the view matches the whole tree's leaf at
-            // the prefixed path; spot-check the leftmost and rightmost.
-            let depth_left = 5 - path.len();
-            let left: Vec<u32> = vec![0; depth_left];
-            let mut full_left = path.clone();
-            full_left.extend_from_slice(&left);
-            assert_eq!(view.leaf_value(&left), whole.leaf_value(&full_left));
-            let right: Vec<u32> = vec![2; depth_left];
-            let mut full_right = path.clone();
-            full_right.extend_from_slice(&right);
-            assert_eq!(view.leaf_value(&right), whole.leaf_value(&full_right));
-            assert_eq!(view.height_hint(), Some(depth_left as u32));
+    fn evaluation_in_place_reproduces_the_subtree_exactly() {
+        for text in ["minmax:d=3,n=5,seed=7", "nor:d=3,n=5,seed=7"] {
+            let g = spec(text);
+            let whole = g.build().unwrap();
+            for path in [vec![0], vec![2, 1], vec![1, 2, 0]] {
+                let mode = node_mode(&g, path.len());
+                let sub = SubtreeSpec {
+                    path: path.clone(),
+                    ..SubtreeSpec::whole(g.clone())
+                };
+                let never = AtomicBool::new(false);
+                let st = if g.is_minmax() {
+                    seq_alphabeta_at(
+                        &whole,
+                        &path,
+                        true,
+                        Value::MIN,
+                        Value::MAX,
+                        sub.maximizing(),
+                        &never,
+                    )
+                } else {
+                    seq_solve_at(&whole, &path, true, &never)
+                }
+                .unwrap();
+                // The value is the subtree's exact value, read leaf by
+                // leaf through the whole tree at the prefixed paths.
+                let truth = exhaustive(&whole, &mut path.clone(), mode);
+                assert_eq!(st.value, truth, "{text} at {path:?}");
+                assert_eq!(sub_evaluate(&sub).unwrap().value, truth);
+                // Recorded leaves are whole-tree leaves under the subtree
+                // root, starting from its leftmost leaf.
+                let leaves = st.leaf_paths.unwrap();
+                assert_eq!(leaves.len() as u64, st.leaves_evaluated);
+                let depth_left = 5 - path.len();
+                let mut full_left = path.clone();
+                full_left.extend(std::iter::repeat_n(0, depth_left));
+                assert_eq!(leaves[0], full_left);
+                for leaf in &leaves {
+                    assert_eq!(leaf.len(), 5);
+                    assert!(leaf.starts_with(&path), "{leaf:?} outside {path:?}");
+                }
+            }
         }
     }
 
